@@ -32,7 +32,7 @@ pub use keys::{ds_matches, make_ds, ZoneKeys, DEFAULT_KEY_BITS};
 pub use nsec3::{hashed_owner_name, nsec3_hash, nsec3_hash_memoized, Nsec3Config, Nsec3Memo};
 pub use signer::{sign_rrset, sign_zone, sign_zone_set, SignerConfig, SigningSet};
 pub use trust_anchor::{AnchorState, AnchorTracker, ADD_HOLD_DOWN_DAYS};
-pub use validate::{authenticate_dnskeys, validate_rrset, ValidationError};
+pub use validate::{authenticate_dnskeys, check_signature_window, validate_rrset, ValidationError};
 
 /// Errors from key management and signing.
 #[derive(Debug)]

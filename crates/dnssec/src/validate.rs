@@ -90,6 +90,24 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// The validity-window test every signature check applies: `now` must
+/// lie in `[inception, expiration]` (both ends inclusive). Incremental
+/// consumers that reuse a verdict across days use this same test to
+/// decide whether the signatures behind it are still in window.
+pub fn check_signature_window(
+    inception: u32,
+    expiration: u32,
+    now: u32,
+) -> Result<(), ValidationError> {
+    if expiration < now {
+        return Err(ValidationError::Expired { expiration, now });
+    }
+    if inception > now {
+        return Err(ValidationError::NotYetValid { inception, now });
+    }
+    Ok(())
+}
+
 /// Verifies one RRSIG over one RRset with one specific DNSKEY.
 pub fn verify_rrsig_with_key(
     rrset: &RrSet,
@@ -97,18 +115,7 @@ pub fn verify_rrsig_with_key(
     dnskey: &DnskeyRdata,
     now: u32,
 ) -> Result<(), ValidationError> {
-    if rrsig.expiration < now {
-        return Err(ValidationError::Expired {
-            expiration: rrsig.expiration,
-            now,
-        });
-    }
-    if rrsig.inception > now {
-        return Err(ValidationError::NotYetValid {
-            inception: rrsig.inception,
-            now,
-        });
-    }
+    check_signature_window(rrsig.inception, rrsig.expiration, now)?;
     if !dnskey.is_zone_key() || dnskey.protocol != 3 {
         return Err(ValidationError::BadSignature);
     }

@@ -697,6 +697,168 @@ mod tests {
         assert!(w.registry(Tld::Nl).audit_failures.get(&r).copied().unwrap_or(0) > 0);
     }
 
+    /// One sponsor's audit tallies in one TLD, recomputed from scratch.
+    #[derive(Default)]
+    struct ReferenceAudits {
+        failures: u64,
+        cent_days: u64,
+    }
+
+    /// Ticks `days` days. After each audit day's tick, audits every
+    /// DS-bearing delegation of `tld` sponsored by `r` with
+    /// `observation_of` + `classify`, folds the verdicts into `reference`
+    /// and checks the registry's tallies against it. Returns `watched`'s
+    /// verdict per audit day, keyed by days since the world's start.
+    fn tick_checking_audits(
+        w: &mut World,
+        (tld, r): (Tld, RegistrarId),
+        watched: &Name,
+        days: u32,
+        reference: &mut ReferenceAudits,
+    ) -> Vec<(u32, bool)> {
+        let interval = w.config.audit_interval_days;
+        let discount = tld.incentive().expect("auditing TLD").discount_cents as u64;
+        let mut verdicts = Vec::new();
+        for _ in 0..days {
+            w.tick();
+            let day = w.today.days_since(w.config.start);
+            if !day.is_multiple_of(interval) {
+                continue;
+            }
+            let registry = w.registry(tld);
+            for d in registry.delegations() {
+                if registry.sponsor_of(&d) != Some(r) || registry.ds_of(&d).is_empty() {
+                    continue;
+                }
+                let obs = w.observation_of(&d);
+                let passed = classify(&d, &obs, now(w)) == DeploymentStatus::FullyDeployed;
+                if passed {
+                    reference.cent_days += discount * interval as u64;
+                } else {
+                    reference.failures += 1;
+                }
+                if &d == watched {
+                    verdicts.push((day, passed));
+                }
+            }
+            assert_eq!(
+                registry.audit_failures.get(&r).copied().unwrap_or(0),
+                reference.failures,
+                "audit failures on day {day}"
+            );
+            assert_eq!(
+                registry.discounts_cents.get(&r).copied().unwrap_or(0),
+                reference.cent_days / 365,
+                "discount on day {day}"
+            );
+        }
+        verdicts
+    }
+
+    #[test]
+    fn audit_memo_tracks_a_broken_then_fixed_ds() {
+        let mut w = small_world();
+        let r = add_full_registrar(&mut w, "NlReg", "nlreg.net");
+        let d = w
+            .purchase(r, "kapot", Tld::Nl, Hosting::Registrar { plan: Plan::Free }, "o@x.nl")
+            .unwrap();
+        let keys = w.domain(&d).unwrap().keys.clone().unwrap();
+        let good_ds = keys.ds(dsec_crypto::DigestType::Sha256);
+        let garbage = DsRdata {
+            key_tag: 1,
+            algorithm: 8,
+            digest_type: 2,
+            digest: vec![9; 32],
+        };
+        let mut reference = ReferenceAudits::default();
+        w.registry_mut(Tld::Nl).set_ds(r, &d, &[garbage]).unwrap();
+        let broken = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 30, &mut reference);
+        assert_eq!(broken.len(), 4);
+        assert!(broken.iter().all(|&(_, passed)| !passed), "{broken:?}");
+        w.registry_mut(Tld::Nl).set_ds(r, &d, &[good_ds]).unwrap();
+        let fixed = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 30, &mut reference);
+        assert_eq!(fixed.len(), 4);
+        assert!(fixed.iter().all(|&(_, passed)| passed), "{fixed:?}");
+    }
+
+    #[test]
+    fn audit_memo_sees_signatures_lapse_under_a_stalled_rollover() {
+        let mut w = small_world();
+        let r = add_full_registrar(&mut w, "NlReg", "nlreg.net");
+        let d = w
+            .purchase(r, "stil", Tld::Nl, Hosting::Registrar { plan: Plan::Free }, "o@x.nl")
+            .unwrap();
+        // The transitional set goes live on day 5, signed for 4 days past
+        // it; the DS never moves, so nothing bumps the generation after.
+        let plan = rollover::RolloverPlan::correct(
+            rollover::RolloverStyle::DoubleSignatureKsk,
+            w.today.plus_days(5),
+        )
+        .with_ds_timing(DsTiming::Never)
+        .with_signature_validity_days(4);
+        w.schedule_rollover(&d, plan).unwrap();
+        let mut reference = ReferenceAudits::default();
+        tick_checking_audits(&mut w, (Tld::Nl, r), &d, 5, &mut reference);
+        w.stall_rollover(&d).unwrap();
+        let until = w.rollover_state(&d).unwrap().signed_until().unwrap();
+        let generation = w.domain_generation(&d);
+        let verdicts = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 25, &mut reference);
+        assert_eq!(w.domain_generation(&d), generation, "the lapse is not an edit");
+        assert_eq!(w.events.count("signature_expired"), 1);
+        // Audits on days 7, 14, 21, 28; the signatures lapse after day 9.
+        let lapsed: Vec<bool> = verdicts
+            .iter()
+            .map(|&(day, _)| w.config.start.plus_days(day).epoch_seconds() > until)
+            .collect();
+        assert_eq!(lapsed, vec![false, true, true, true]);
+        for (&(day, passed), lapsed) in verdicts.iter().zip(lapsed) {
+            assert_eq!(passed, !lapsed, "day {day}: fails from the first audit after the lapse");
+        }
+    }
+
+    #[test]
+    fn audit_memo_is_bypassed_while_faults_drop_the_nameservers() {
+        let mut w = small_world();
+        let r = add_full_registrar(&mut w, "NlReg", "nlreg.net");
+        let d = w
+            .purchase(r, "weg", Tld::Nl, Hosting::Registrar { plan: Plan::Free }, "o@x.nl")
+            .unwrap();
+        let hosts = w.operator(w.registrar(r).operator).ns_hosts.clone();
+        let mut reference = ReferenceAudits::default();
+        let before = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 14, &mut reference);
+        w.fault_plane().enable(7);
+        for ns in &hosts {
+            w.fault_plane().set_down(ns, true);
+        }
+        let during = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 14, &mut reference);
+        for ns in &hosts {
+            w.fault_plane().set_down(ns, false);
+        }
+        w.fault_plane().disable();
+        let after = tick_checking_audits(&mut w, (Tld::Nl, r), &d, 14, &mut reference);
+        let verdicts = |v: &[(u32, bool)]| v.iter().map(|&(_, p)| p).collect::<Vec<_>>();
+        assert_eq!(verdicts(&before), vec![true, true]);
+        assert_eq!(verdicts(&during), vec![false, false], "no verdict outlives the fault");
+        assert_eq!(verdicts(&after), vec![true, true]);
+    }
+
+    #[test]
+    fn a_year_of_passing_audits_earns_the_yearly_discount() {
+        let mut w = small_world();
+        let r = add_full_registrar(&mut w, "Reg", "reg.net");
+        for tld in [Tld::Nl, Tld::Se] {
+            w.purchase(r, "goed", tld, Hosting::Registrar { plan: Plan::Free }, "o@x.nl")
+                .unwrap();
+        }
+        w.advance_to(w.today.plus_days(365));
+        for tld in [Tld::Nl, Tld::Se] {
+            let yearly = tld.incentive().unwrap().discount_cents as i64;
+            let earned = w.registry(tld).discounts_cents[&r] as i64;
+            assert!((earned - yearly).abs() <= 1, "{tld:?}: earned {earned}¢ of {yearly}¢");
+            assert_eq!(w.registry(tld).audit_failures.get(&r), None);
+        }
+    }
+
     #[test]
     fn cds_scan_applies_key_rollover() {
         let mut w = small_world();

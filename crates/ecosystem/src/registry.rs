@@ -55,6 +55,9 @@ pub struct Registry {
     pub discounts_cents: BTreeMap<RegistrarId, u64>,
     /// Incentive bookkeeping: validation failures per registrar.
     pub audit_failures: BTreeMap<RegistrarId, u64>,
+    /// Discount accrued per registrar but not yet paid out, in cent-days
+    /// (always below 365).
+    discount_carry: BTreeMap<RegistrarId, u64>,
     /// Columnar per-delegation state: sponsor, change generation, and
     /// liveness in dense `NameId`-indexed columns (see [`DomainTable`]).
     /// The generation column is bumped on every registry-side edit a
@@ -152,6 +155,7 @@ impl Registry {
             signer,
             discounts_cents: BTreeMap::new(),
             audit_failures: BTreeMap::new(),
+            discount_carry: BTreeMap::new(),
             table: DomainTable::new(interner),
             population_epoch: 0,
         }
@@ -408,17 +412,21 @@ impl Registry {
     }
 
     /// Records an audit outcome for incentive bookkeeping: a correctly
-    /// signed domain earns its sponsor the per-domain discount, a broken
-    /// one counts as a failure.
-    pub fn record_audit(&mut self, domain: &Name, passed: bool) {
+    /// signed domain earns its sponsor the yearly discount pro rata for
+    /// the `days` since the previous audit, a broken one counts as a
+    /// failure.
+    pub fn record_audit(&mut self, domain: &Name, passed: bool, days: u32) {
         let Some(sponsor) = self.sponsor_of(domain) else {
             return;
         };
         if passed {
             if let Some(incentive) = self.tld.incentive() {
-                // Daily accrual of the yearly discount.
-                *self.discounts_cents.entry(sponsor).or_default() +=
-                    (incentive.discount_cents as u64).max(1) / 365 + 1;
+                // Accrue in cent-days and pay out whole cents; the
+                // remainder carries to the sponsor's next passing audit.
+                let carry = self.discount_carry.entry(sponsor).or_default();
+                *carry += incentive.discount_cents as u64 * days as u64;
+                *self.discounts_cents.entry(sponsor).or_default() += *carry / 365;
+                *carry %= 365;
             }
         } else {
             *self.audit_failures.entry(sponsor).or_default() += 1;
@@ -724,16 +732,23 @@ mod tests {
         r.accredit(RegistrarId(1));
         r.add_delegation(RegistrarId(1), &name("x.nl"), &[name("ns1.op.net")])
             .unwrap();
-        r.record_audit(&name("x.nl"), true);
-        r.record_audit(&name("x.nl"), false);
-        assert!(r.discounts_cents[&RegistrarId(1)] > 0);
+        // A week's share of 30¢/yr is under a cent: it carries over.
+        r.record_audit(&name("x.nl"), true, 7);
+        assert_eq!(r.discounts_cents[&RegistrarId(1)], 0);
+        r.record_audit(&name("x.nl"), false, 7);
         assert_eq!(r.audit_failures[&RegistrarId(1)], 1);
+        // Weekly passes for the rest of the year pay the yearly discount
+        // to within the last (carried) cent.
+        for _ in 1..52 {
+            r.record_audit(&name("x.nl"), true, 7);
+        }
+        assert_eq!(r.discounts_cents[&RegistrarId(1)], 30 * 52 * 7 / 365);
         // gTLDs award nothing.
         let mut com = Registry::new(Tld::Com, &mut rng, FROM, UNTIL);
         com.accredit(RegistrarId(1));
         com.add_delegation(RegistrarId(1), &name("x.com"), &[name("ns1.op.net")])
             .unwrap();
-        com.record_audit(&name("x.com"), true);
+        com.record_audit(&name("x.com"), true, 7);
         assert!(!com.discounts_cents.contains_key(&RegistrarId(1)));
     }
 }

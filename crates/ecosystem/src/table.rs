@@ -360,6 +360,15 @@ impl DomainStore {
         }
     }
 
+    /// Row ids in canonical name order, borrowed from the order index:
+    /// the same order as [`DomainStore::values`], without touching the
+    /// payload rows. The daily tick sweeps this once and reads only the
+    /// columns it needs.
+    pub fn ordered_rows(&self) -> impl Iterator<Item = u32> + '_ {
+        let guard = self.ensure_order();
+        (0..guard.sorted.len()).map(move |i| guard.sorted[i])
+    }
+
     /// Mutable sweep over all domains in **row (insertion) order** — for
     /// order-insensitive bulk updates only.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut Domain> {

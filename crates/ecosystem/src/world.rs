@@ -11,8 +11,8 @@ use rand::{Rng, RngCore, SeedableRng};
 use dsec_authserver::{Authority, FaultPlane, Network, QueryOutcome};
 use dsec_crypto::{Algorithm, DigestType};
 use dsec_dnssec::{
-    classify, ds_matches, sign_zone, sign_zone_set, DeploymentStatus, Observation, SignerConfig,
-    SigningSet, ZoneKeys,
+    check_signature_window, classify, ds_matches, sign_zone, sign_zone_set, DeploymentStatus,
+    Observation, SignerConfig, SigningSet, ZoneKeys,
 };
 use dsec_wire::{
     DsRdata, Message, Name, NameInterner, RData, Record, RrSet, RrType, SoaRdata, Zone,
@@ -237,6 +237,42 @@ struct MassSignTask {
     per_day: usize,
 }
 
+/// Today's work for the per-domain tick phases, gathered by one
+/// canonical-order sweep over the domain store's rows
+/// ([`World::sweep_domains`]). Row ids only: a name is cloned when a
+/// phase actually acts on its domain.
+struct DailySweep {
+    /// Unsigned registrar-hosted rows whose registrar offers DNSSEC with
+    /// a positive opt-in hazard, with that hazard.
+    adoption: Vec<(u32, f64)>,
+    /// Unsigned third-party-hosted rows, whatever the operator.
+    third_party: Vec<u32>,
+    /// Rows whose registration expires today.
+    renewals: Vec<u32>,
+}
+
+/// A remembered incentive-audit verdict for one delegation (see
+/// [`World::run_audits`] and DESIGN.md §9).
+#[derive(Debug, Clone, Copy)]
+struct AuditMemo {
+    /// The domain's change generation when the verdict was computed.
+    generation: u64,
+    /// `None`: no DS at the registry, so the domain is not audited.
+    passed: Option<bool>,
+    /// Latest inception and earliest expiration over the DNSKEY RRSIGs
+    /// the verdict was computed from: the days on which every one of
+    /// them passes the validator's window test.
+    window: (u32, u32),
+}
+
+impl AuditMemo {
+    /// Whether every DNSKEY RRSIG behind the verdict is in its validity
+    /// window at `now`.
+    fn in_window(&self, now: u32) -> bool {
+        check_signature_window(self.window.0, self.window.1, now).is_ok()
+    }
+}
+
 /// A scheduled root trust-anchor roll in progress (RFC 5011 on the
 /// producer side; followers are modelled by [`World::trust_anchor`]).
 struct AnchorRollState {
@@ -298,6 +334,9 @@ pub struct World {
     /// [`Annex`]). Pure performance state: nothing stored here may
     /// change results.
     annex: Annex,
+    /// Incentive-audit verdicts per auditing TLD, indexed by registry
+    /// table row. Pure performance state, like `annex`.
+    audit_memo: BTreeMap<Tld, Vec<Option<AuditMemo>>>,
     rng: StdRng,
 }
 
@@ -405,6 +444,7 @@ impl World {
             events: EventLog::new(),
             auto_sign_on_purchase: true,
             annex: Annex::default(),
+            audit_memo: BTreeMap::new(),
             rng,
         }
     }
@@ -1150,6 +1190,16 @@ impl World {
 
     /// Advances one day: apply milestones, drain mass-sign queues, run
     /// population adoption, renewals, audits, and CDS scans.
+    ///
+    /// Cost model: one canonical-order sweep over the domain store's row
+    /// ids gathers adoption candidates, unsigned third-party-hosted
+    /// domains and today's renewals, reading a few columns per row; the
+    /// phases then do real work (signing, DS upload, transfer) only for
+    /// the domains a draw or a date selects. Audit days add one pass over
+    /// the auditing registries' rows, re-validating only delegations
+    /// whose generation moved or whose DNSKEY signatures left their
+    /// validity window since the last audit (every one under faults).
+    /// Everything else a tick costs scales with what changes that day.
     pub fn tick(&mut self) {
         self.today = self.today.plus_days(1);
         // Keep the fault plane's clock in step so flap schedules follow
@@ -1157,9 +1207,10 @@ impl World {
         self.network.faults().set_day(self.today.0);
         self.apply_milestones();
         self.drain_mass_sign();
-        self.population_adoption();
-        self.third_party_adoption();
-        self.process_renewals();
+        let sweep = self.sweep_domains();
+        self.population_adoption(&sweep.adoption);
+        self.third_party_adoption(&sweep.third_party);
+        self.process_renewals(&sweep.renewals);
         self.drive_rollovers();
         self.drive_anchor_roll();
         if self.today.days_since(self.config.start).is_multiple_of(self.config.audit_interval_days.max(1)) {
@@ -1268,27 +1319,57 @@ impl World {
         self.mass_sign_queue = queue;
     }
 
-    fn population_adoption(&mut self) {
-        // Collect candidates (immutable pass), then roll and sign.
-        let candidates: Vec<(Name, f64)> = self
-            .domains
-            .values()
-            .filter(|d| d.keys.is_none() && matches!(d.hosting, Hosting::Registrar { .. }))
-            .filter_map(|d| {
-                let registrar = &self.registrars[d.registrar.0 as usize];
-                let hazard = registrar.daily_optin_hazard;
-                (hazard > 0.0 && registrar.policy.operator_dnssec.supported())
-                    .then(|| (d.name.clone(), hazard))
+    /// The tick's one sweep over the population. Rows come in canonical
+    /// name order, so each phase draws from the RNG in the order
+    /// [`DomainStore::values`] fixes.
+    fn sweep_domains(&self) -> DailySweep {
+        let hazards: Vec<f64> = self
+            .registrars
+            .iter()
+            .map(|r| {
+                if r.policy.operator_dnssec.supported() {
+                    r.daily_optin_hazard
+                } else {
+                    0.0
+                }
             })
             .collect();
-        for (name, hazard) in candidates {
+        let mut sweep = DailySweep {
+            adoption: Vec::new(),
+            third_party: Vec::new(),
+            renewals: Vec::new(),
+        };
+        for row in self.domains.ordered_rows() {
+            let d = self.domains.at(row);
+            if d.keys.is_none() {
+                match d.hosting {
+                    Hosting::Registrar { .. } => {
+                        let hazard = hazards[d.registrar.0 as usize];
+                        if hazard > 0.0 {
+                            sweep.adoption.push((row, hazard));
+                        }
+                    }
+                    Hosting::ThirdParty { .. } => sweep.third_party.push(row),
+                    Hosting::Owner => {}
+                }
+            }
+            if d.expires == self.today {
+                sweep.renewals.push(row);
+            }
+        }
+        sweep
+    }
+
+    fn population_adoption(&mut self, candidates: &[(u32, f64)]) {
+        for &(row, hazard) in candidates {
             if self.rng.random::<f64>() < hazard {
+                let name = self.domains.at(row).name.clone();
                 let _ = self.sign_hosted(&name);
             }
         }
     }
 
-    fn third_party_adoption(&mut self) {
+    fn third_party_adoption(&mut self, hosted: &[u32]) {
         let profiles: Vec<(OperatorId, SimDate, f64, f64)> = self
             .third_parties
             .iter()
@@ -1301,23 +1382,25 @@ impl World {
             if self.today < launch || hazard <= 0.0 {
                 continue;
             }
-            let candidates: Vec<Name> = self
-                .domains
-                .values()
-                .filter(|d| d.keys.is_none() && d.hosting == (Hosting::ThirdParty { operator: op }))
-                .map(|d| d.name.clone())
-                .collect();
-            for domain in candidates {
+            let hosting = Hosting::ThirdParty { operator: op };
+            for &row in hosted {
+                // Re-checked per profile: an earlier profile may have
+                // signed this domain today.
+                let d = self.domains.at(row);
+                if d.keys.is_some() || d.hosting != hosting {
+                    continue;
+                }
                 if self.rng.random::<f64>() >= hazard {
                     continue;
                 }
+                let domain = self.domains.at(row).name.clone();
                 let Ok(ds) = self.third_party_enable_dnssec(&domain) else {
                     continue;
                 };
                 // The owner must relay the DS to the registrar; 40% never do.
                 if self.rng.random::<f64>() < relay {
                     let (sponsor, tld) = {
-                        let d = &self.domains[&domain.to_canonical()];
+                        let d = self.domains.at(row);
                         (d.sponsor, d.tld)
                     };
                     let _ = self
@@ -1339,25 +1422,14 @@ impl World {
         }
     }
 
-    fn process_renewals(&mut self) {
+    fn process_renewals(&mut self, due: &[u32]) {
         let today = self.today;
-        let due: Vec<Name> = self
-            .domains
-            .values()
-            .filter(|d| d.expires == today)
-            .map(|d| d.name.clone())
-            .collect();
-        for name in due {
-            let key = name.to_canonical();
+        for &row in due {
             // Renew for another year.
-            {
-                let d = self.domains.get_mut(&key).expect("due domain exists");
-                d.expires = today.plus_days(365);
-            }
-            let (registrar, tld, migrate, old_sponsor) = {
-                let d = &self.domains[&key];
-                (d.registrar, d.tld, d.pending_partner_migration, d.sponsor)
-            };
+            let d = self.domains.at_mut(row);
+            d.expires = today.plus_days(365);
+            let (registrar, tld, migrate, old_sponsor) =
+                (d.registrar, d.tld, d.pending_partner_migration, d.sponsor);
             if !migrate {
                 continue;
             }
@@ -1366,6 +1438,7 @@ impl World {
                 continue;
             };
             if new_sponsor != old_sponsor {
+                let name = self.domains.at(row).name.clone();
                 let transferred = self
                     .registries
                     .get_mut(&tld)
@@ -1375,7 +1448,7 @@ impl World {
                 if !transferred {
                     continue;
                 }
-                let d = self.domains.get_mut(&key).expect("due domain exists");
+                let d = self.domains.at_mut(row);
                 d.sponsor = new_sponsor;
                 d.pending_partner_migration = false;
                 self.events.record(
@@ -1388,8 +1461,7 @@ impl World {
                 // With a DNSSEC-capable partner, the reseller can now sign
                 // hosted domains and publish DS (including for domains it
                 // had already signed but could not complete).
-                let d = &self.domains[&key];
-                if matches!(d.hosting, Hosting::Registrar { .. }) {
+                if matches!(self.domains.at(row).hosting, Hosting::Registrar { .. }) {
                     let policy = &self.registrars[registrar.0 as usize].policy;
                     if policy.operator_dnssec.supported() && policy.tld(tld).publishes_ds {
                         let _ = self.sign_hosted(&name);
@@ -1399,30 +1471,74 @@ impl World {
         }
     }
 
+    /// The .nl/.se incentive audits (§6.3): every delegation with a DS
+    /// is validated and its sponsor credited or charged.
+    ///
+    /// A verdict is remembered per `(tld, row)` and reused while the
+    /// domain's generation is unchanged (the DESIGN.md §9 contract) and
+    /// today passes the validator's window test for every DNSKEY RRSIG
+    /// behind it: a stalled rollover lets signatures lapse without any
+    /// edit. Under faults the memo is neither read nor written: the
+    /// [`FaultPlane`]'s draws depend on per-attempt state, so every
+    /// audit then queries afresh.
     fn run_audits(&mut self) {
         let now = self.today.epoch_seconds();
+        let days = self.config.audit_interval_days.max(1);
+        let use_memo = !self.network.faults().is_enabled();
         for tld in ALL_TLDS {
             if tld.incentive().is_none() {
                 continue;
             }
-            let audited: Vec<(Name, bool)> = {
-                let registry = &self.registries[&tld];
-                registry
-                    .delegations()
-                    .into_iter()
-                    .filter(|d| !registry.ds_of(d).is_empty())
-                    .map(|d| {
-                        let obs = self.observation_of(&d);
-                        let passed = classify(&d, &obs, now) == DeploymentStatus::FullyDeployed;
-                        (d, passed)
-                    })
-                    .collect()
-            };
+            let mut memo = self.audit_memo.remove(&tld).unwrap_or_default();
+            let registry = &self.registries[&tld];
+            let mut audited: Vec<(Name, bool)> = Vec::new();
+            for (row, domain, generation) in registry.delegations_columnar() {
+                let slot = row as usize;
+                if memo.len() <= slot {
+                    memo.resize(slot + 1, None);
+                }
+                let hit = memo[slot]
+                    .filter(|m| use_memo && m.generation == generation && m.in_window(now));
+                let passed = match hit {
+                    Some(m) => m.passed,
+                    None => {
+                        let entry = self.audit(domain, registry, generation, now);
+                        if use_memo {
+                            memo[slot] = entry.in_window(now).then_some(entry);
+                        }
+                        entry.passed
+                    }
+                };
+                if let Some(passed) = passed {
+                    audited.push((domain.clone(), passed));
+                }
+            }
             let registry = self.registries.get_mut(&tld).expect("all TLDs present");
             for (domain, passed) in audited {
-                registry.record_audit(&domain, passed);
+                registry.record_audit(&domain, passed, days);
             }
+            self.audit_memo.insert(tld, memo);
         }
+    }
+
+    /// Audits one delegation from scratch: a DS-less domain is skipped,
+    /// any other passes only if it classifies as fully deployed.
+    fn audit(&self, domain: &Name, registry: &Registry, generation: u64, now: u32) -> AuditMemo {
+        let mut memo = AuditMemo {
+            generation,
+            passed: None,
+            window: (0, u32::MAX),
+        };
+        if registry.ds_of(domain).is_empty() {
+            return memo;
+        }
+        let obs = self.observation_of(domain);
+        memo.passed = Some(classify(domain, &obs, now) == DeploymentStatus::FullyDeployed);
+        for sig in &obs.dnskey_rrsigs {
+            memo.window.0 = memo.window.0.max(sig.inception);
+            memo.window.1 = memo.window.1.min(sig.expiration);
+        }
+        memo
     }
 
     fn run_cds_scans(&mut self) {
@@ -1434,14 +1550,10 @@ impl World {
             .iter()
             .filter(|(_, r)| r.supports_cds)
             .flat_map(|(tld, registry)| {
-                registry
-                    .delegations()
-                    .into_iter()
-                    .filter_map(|domain| {
-                        let action = self.scan_child_cds(&domain, registry, now)?;
-                        Some((*tld, domain, action))
-                    })
-                    .collect::<Vec<_>>()
+                registry.delegation_names().filter_map(|domain| {
+                    let action = self.scan_child_cds(domain, registry, now)?;
+                    Some((*tld, domain.clone(), action))
+                })
             })
             .collect();
         for (tld, domain, ds_set) in scans {
@@ -1463,34 +1575,36 @@ impl World {
     /// DS installed without any registrar involvement — healing exactly
     /// the partial deployments the paper laments.
     fn run_cds_bootstrap(&mut self, now: u32) {
-        let candidates: Vec<(Tld, Name, u32)> = self
-            .registries
-            .iter()
-            .filter_map(|(tld, r)| r.cds_bootstrap_delay_days.map(|d| (*tld, d)))
-            .flat_map(|(tld, delay)| {
-                self.registries[&tld]
-                    .delegations()
-                    .into_iter()
-                    .filter(|d| self.registries[&tld].ds_of(d).is_empty())
-                    .map(move |d| (tld, d, delay))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        // Borrowed pass: names are cloned only for DS-less children that
+        // publish a consistent CDS, or that stopped publishing one.
+        let mut seen: Vec<(Tld, Name, u32, Vec<DsRdata>)> = Vec::new();
+        let mut lapsed: Vec<Name> = Vec::new();
+        for (tld, registry) in &self.registries {
+            let Some(delay) = registry.cds_bootstrap_delay_days else {
+                continue;
+            };
+            for domain in registry.delegation_names() {
+                if !registry.ds_of(domain).is_empty() {
+                    continue;
+                }
+                match self.consistent_cds_of(domain, now) {
+                    Some(ds_set) => seen.push((*tld, domain.clone(), delay, ds_set)),
+                    None if self.cds_first_seen.contains_key(domain) => lapsed.push(domain.clone()),
+                    None => {}
+                }
+            }
+        }
+        for domain in lapsed {
+            self.cds_first_seen.remove(&domain);
+        }
         let mut to_install: Vec<(Tld, Name, Vec<DsRdata>)> = Vec::new();
-        for (tld, domain, delay) in candidates {
-            match self.consistent_cds_of(&domain, now) {
-                Some(ds_set) => {
-                    let first = *self
-                        .cds_first_seen
-                        .entry(domain.to_canonical())
-                        .or_insert(self.today);
-                    if self.today.days_since(first) >= delay {
-                        to_install.push((tld, domain, ds_set));
-                    }
-                }
-                None => {
-                    self.cds_first_seen.remove(&domain.to_canonical());
-                }
+        for (tld, domain, delay, ds_set) in seen {
+            let first = *self
+                .cds_first_seen
+                .entry(domain.clone())
+                .or_insert(self.today);
+            if self.today.days_since(first) >= delay {
+                to_install.push((tld, domain, ds_set));
             }
         }
         for (tld, domain, ds_set) in to_install {
